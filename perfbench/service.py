@@ -29,6 +29,7 @@ from repro.engine.database import Database
 from repro.engine.generic_join import generic_join
 from repro.errors import EngineFault, ReproError, ServiceOverloaded
 from repro.serve.service import QueryService, canonical_rows
+from repro.serve.traffic import percentile
 
 from perfbench.clock import timed
 from perfbench.trace import REQUEST_ID
@@ -42,15 +43,6 @@ QUEUE_DEPTH = 4096
 #: The latency limit a rung's p99 must meet for ``max_rate_qps``.
 LIMIT_MS = 50.0
 RUNG_NAMES = ("low", "mid", "high")
-
-
-def percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile (0.0 for no samples)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))
-    return ordered[rank]
 
 
 def db_name(base: str, version: int) -> str:

@@ -194,9 +194,9 @@ class Tracer:
         traced.__name__ = getattr(fn, "__name__", layer)
         return traced
 
-    def phase(self, name: str, rid=None):
+    def phase(self, name: str):
         """A root span the benchmark opens around one phase of a run."""
-        return _PhaseSpan(self, name, rid)
+        return _PhaseSpan(self, name)
 
     # -- installation --------------------------------------------------
     def install(self) -> None:
@@ -277,9 +277,9 @@ class Tracer:
 
 
 class _PhaseSpan:
-    def __init__(self, tracer: Tracer, name: str, rid) -> None:
+    def __init__(self, tracer: Tracer, name: str) -> None:
         self.tracer = tracer
-        self.span = Span(f"phase.{name}", _CURRENT.get(), rid, threading.get_ident())
+        self.span = Span(f"phase.{name}", _CURRENT.get(), None, threading.get_ident())
 
     def __enter__(self) -> Span:
         self._token = _CURRENT.set(self.span)
