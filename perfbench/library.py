@@ -16,12 +16,12 @@ import time
 from dataclasses import dataclass, field
 
 from perfbench.clock import Sample, timed
+from perfbench.oracle import digest
 from perfbench.workloads import (
     LibraryInput,
     Prepared,
     bound_log2,
     build_database,
-    result_digest,
     run_query,
 )
 
@@ -58,7 +58,7 @@ def _query(prep: Prepared, db, run: LibraryRun, tracer, phase: str) -> Sample:
     (out, touched, algorithm_bound), sample = _in_phase(
         tracer, run, phase, run_query, prep, db
     )
-    run.answers.append((result_digest(out.tuples), len(out), touched))
+    run.answers.append((digest(out.schema, out.tuples), len(out), touched))
     if phase == "cold" and not run.bound_log2:
         run.bound_log2 = bound_log2(prep, db, algorithm_bound)
     return sample

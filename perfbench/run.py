@@ -211,8 +211,13 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool, scale: dict
     # -- correctness ----------------------------------------------------
     attempted, failed = outcomes.attempted, outcomes.failed
     if one_shot:
-        ref = workloads.reference(name, scale["library_n"][name], seed)
+        ref = workloads.reference(inp, scale["library_n"][name], seed)
         expect = (ref["digest"], ref["rows"], ref["touched"])
+        if tuple(ref["decoded"]) != expect[:2]:
+            wrong.append(
+                f"{name}: the decoded plane gave (digest, rows) {ref['decoded']}, "
+                f"the oracle {expect[:2]}"
+            )
         for answer in lib.answers:
             attempted += 1
             if answer != expect:
@@ -228,6 +233,16 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool, scale: dict
             )
     if outcomes.wrong:
         wrong.append(f"{name}: {outcomes.wrong} service responses had wrong rows")
+    if outcomes.unexpected:
+        wrong.append(
+            f"{name}: {outcomes.unexpected} service requests failed other than "
+            f"as the known defect {known} (see failure_classes)"
+        )
+    unfinished = sum(rung.unfinished for rung in rungs)
+    if unfinished:
+        attempted += unfinished
+        failed += unfinished
+        wrong.append(f"{name}: {unfinished} service requests never completed")
 
     # -- per-layer ------------------------------------------------------
     layers.update(rung_metrics)
@@ -319,44 +334,34 @@ COUNTS = {
 }
 
 
+def phase_summary(tracer, roots, reps: int) -> dict:
+    """Self seconds, off-thread seconds and counts per span name under
+    ``roots``, each divided by ``reps`` (how often the phase ran)."""
+    on, off, counts = tracer.self_times(roots)
+    return {
+        "self": {k: v / reps for k, v in on.items()},
+        "off": {k: v / reps for k, v in off.items()},
+        "counts": {k: {c: v / reps for c, v in d.items()} for k, d in counts.items()},
+        "wall": sum(r.end - r.start for r in roots) / reps,
+    }
+
+
 def library_layers(tracer, lib) -> dict:
-    """Per phase: self seconds and counts per span name, per repetition
-    (the phase's sums divided by how often it ran)."""
-    per_phase = {}
-    for phase, roots in lib.roots.items():
-        on, off, counts = tracer.self_times(roots)
-        reps = len(roots)
-        per_phase[phase] = {
-            "reps": reps,
-            "self": {k: v / reps for k, v in on.items()},
-            "off": {k: v / reps for k, v in off.items()},
-            "counts": {
-                k: {c: v / reps for c, v in d.items()} for k, d in counts.items()
-            },
-            "wall": sum(r.end - r.start for r in roots) / reps,
-            "roots": roots,
-        }
-    return per_phase
+    """Per phase (setup, cold, warm): the phase summary per repetition."""
+    return {
+        phase: phase_summary(tracer, roots, len(roots))
+        for phase, roots in lib.roots.items()
+    }
 
 
 def request_layers(tracer, requests: int) -> dict:
-    """Self seconds and counts per span name, per service request."""
+    """The phase summary per service request (writes included in the
+    roots, divided over the queries)."""
     roots = [
         s for s in tracer.spans
         if s.parent is None and (s.rid is not None or s.name == "phase.write")
     ]
-    on, off, counts = tracer.self_times(roots)
-    n = max(1, requests)
-    return {
-        "request": {
-            "reps": n,
-            "self": {k: v / n for k, v in on.items()},
-            "off": {k: v / n for k, v in off.items()},
-            "counts": {k: {c: v / n for c, v in d.items()} for k, d in counts.items()},
-            "wall": sum(r.end - r.start for r in roots) / n,
-            "roots": roots,
-        }
-    }
+    return {"request": phase_summary(tracer, roots, max(1, requests))}
 
 
 def layer_metrics(tracer, per_phase: dict) -> dict:
@@ -377,11 +382,8 @@ def layer_metrics(tracer, per_phase: dict) -> dict:
     out["lp.solve_s"] = (total("self", "lp.solve") + total("self", "lp.exact"), "s")
     for metric, (span, key) in COUNTS.items():
         out[metric] = (total("counts", span, key), "count")
-    solves = hits = 0.0
-    for phase in per_phase.values():
-        calls, memo = lp_memo(tracer, phase["roots"])
-        solves += calls / phase["reps"]
-        hits += memo / phase["reps"]
+    solves = total("counts", "lp.solve", "outermost")
+    hits = solves - total("counts", "lp.solve", "with_exact")
     out["lp.solve_calls"] = (solves, "count")
     out["lp.memo_hit_ratio"] = (hits / solves if solves else 0.0, "ratio")
     wall = sum(p["wall"] for p in per_phase.values())
@@ -393,35 +395,6 @@ def layer_metrics(tracer, per_phase: dict) -> dict:
         "s",
     )
     return out
-
-
-def lp_memo(tracer, roots) -> tuple[int, int]:
-    """Outermost LP solve calls under ``roots``, and how many of them
-    were answered from a memo (no exact simplex solve underneath)."""
-    children: dict = {}
-    for span in tracer.spans:
-        if span.parent is not None:
-            children.setdefault(id(span.parent), []).append(span)
-
-    def has_exact(span) -> bool:
-        stack = list(children.get(id(span), []))
-        while stack:
-            s = stack.pop()
-            if s.name == "lp.exact":
-                return True
-            stack.extend(children.get(id(s), []))
-        return False
-
-    solves = hits = 0
-    stack = list(roots)
-    while stack:
-        span = stack.pop()
-        if span.name == "lp.solve" and (span.parent is None or span.parent.name != "lp.solve"):
-            solves += 1
-            hits += not has_exact(span)
-            continue
-        stack.extend(children.get(id(span), []))
-    return solves, hits
 
 
 def serve_layers(tracer, rungs, outcomes, service_metrics) -> dict:

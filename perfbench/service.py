@@ -25,13 +25,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.engine.database import Database
-from repro.engine.generic_join import generic_join
-from repro.errors import EngineFault, ReproError, ServiceOverloaded
-from repro.serve.service import QueryService, canonical_rows
+from repro.errors import EngineFault, ServiceOverloaded
+from repro.serve.service import QueryService
 from repro.serve.traffic import percentile
 
 from perfbench.clock import timed
+from perfbench.oracle import ORACLES
 from perfbench.trace import REQUEST_ID
 from perfbench.workloads import ServiceInput
 
@@ -53,28 +52,17 @@ def db_name(base: str, version: int) -> str:
 # expected answers
 # ----------------------------------------------------------------------
 def expected_rows(inp: ServiceInput) -> dict:
-    """Fault-free canonical rows per (tenant, graph, value window,
-    database, query), from the decoded plane's FD-aware generic join.  Every engine and
-    every degradation stage must return these rows."""
+    """Fault-free canonical rows per (tenant, graph, value window, request
+    shape), from the benchmark's own oracle.  Every engine and every
+    degradation stage must return these rows."""
     expected = {}
+    shapes = {kind.shape: kind.database for kind in inp.kinds}
     for t, graphs in enumerate(inp.data):
         for g, windows in enumerate(graphs):
             for w, databases in enumerate(windows):
-                expected.update(_expected_rows(inp, (t, g, w), databases))
-    return expected
-
-
-def _expected_rows(inp: ServiceInput, key: tuple, databases: dict) -> dict:
-    expected = {}
-    for base, served in databases.items():
-        db = Database(
-            served.build_relations(), fds=served.fds, udfs=list(served.udfs), encode=False
-        )
-        for kind in inp.kinds:
-            at = (*key, base, id(kind.query))
-            if kind.database == base and at not in expected:
-                relation, _ = generic_join(kind.query, db, fd_aware=True)
-                expected[at] = canonical_rows(relation, kind.query)[1]
+                for shape, base in shapes.items():
+                    _, rows = ORACLES[shape](databases[base].relations)
+                    expected[(t, g, w, shape)] = sorted(set(rows), key=repr)
     return expected
 
 
@@ -185,7 +173,7 @@ class Harness:
             self._detach(t, version)
 
     def check(self, t: int, version: int, kind, result) -> bool:
-        key = (t, self.graph, self._window(t, version), kind.database, id(kind.query))
+        key = (t, self.graph, self._window(t, version), kind.shape)
         return result.rows == self.expected[key]
 
 
@@ -195,13 +183,17 @@ class Harness:
 @dataclass
 class Outcomes:
     """Per-operation accounting shared by every phase.  ``known`` maps a
-    request-kind label to the error class it is known to fail with."""
+    request-kind label to the error class it is known to fail with; that
+    is the only failure allowed.  A request that fails any other way is
+    counted in ``unexpected`` and, like a wrong answer, fails the run, so
+    a service that breaks by failing fast cannot pass."""
 
     known: dict
     attempted: int = 0
     queries: int = 0
     failed: int = 0
     wrong: int = 0
+    unexpected: int = 0
     known_failures: int = 0
     failure_classes: dict = field(default_factory=dict)
     attempts: list[int] = field(default_factory=list)
@@ -215,7 +207,7 @@ class Outcomes:
         expected rows."""
         try:
             result = future.result()
-        except ReproError as err:
+        except Exception as err:
             self.fail(kind, err)
             return False
         ok = harness.check(t, version, kind, result)
@@ -246,6 +238,8 @@ class Outcomes:
                 self.attempts.append(len(err.extra.get("absorbed", ())))
             if self.known.get(kind.label) == type(err).__name__:
                 self.known_failures += 1
+            else:
+                self.unexpected += 1
 
     def count_write(self) -> None:
         with self.lock:
@@ -299,6 +293,8 @@ class Rung:
     done_at: dict = field(default_factory=dict)
     wall_s: float = 0.0
     completed: int = 0
+    #: Requests still outstanding when the rung gave up waiting.
+    unfinished: int = 0
     #: Host-speed rescaling for this rung (see ``perfbench.clock``).
     scale: float = 1.0
 
@@ -411,8 +407,9 @@ def run_rung(
     for thread in threads:
         thread.join()
     # Each done callback records its request; wait for the last one.
-    deadline = time.perf_counter() + 120
+    deadline = time.perf_counter() + 60
     while in_flight[0] and time.perf_counter() < deadline:
         time.sleep(0.001)
+    rung.unfinished = in_flight[0]
     rung.wall_s = max(rung.done_at.values(), default=t0) - t0
     return rung

@@ -5,8 +5,9 @@
 For every workload, in both trace modes, it checks that the run exits 0,
 reports correct answers, and prints exactly the metric names and units
 that ``BENCHMARK.json`` declares.  Then it checks the failure paths: a
-deliberately wrong expected answer makes the run exit 1 with
-``"correct": false``, a ``REPRO_*`` variable makes it refuse, and a
+deliberately wrong expected answer, or a service failure other than the
+known defect, makes the run exit 1 with ``"correct": false``, a
+``REPRO_*`` variable makes it refuse, and a
 copy holding only ``BENCHMARK.json`` and ``perfbench`` (no program)
 exits non-zero without printing a result.
 """
@@ -36,6 +37,7 @@ def declared() -> dict[str, dict[str, str]]:
         "0": {m["name"]: m["unit"] for m in spec["end_to_end"]},
         "1": {m["name"]: m["unit"] for m in spec["per_layer"]},
         "workloads": [w["name"] for w in spec["workloads"]],
+        "why": {w["name"]: w["why"] for w in spec["workloads"]},
     }
 
 
@@ -53,6 +55,11 @@ def tiny_run(workload: str, trace: str) -> tuple[int, dict, str]:
 def check_metrics() -> None:
     spec = declared()
     assert spec["workloads"] == list(workloads.WORKLOADS), spec["workloads"]
+    # BENCHMARK.json records serve_mixed's rung rates and latency limit.
+    rates = "/".join(f"{rate:g}" for rate in run.RATES)
+    limit = f"p99 <= {service.LIMIT_MS:g} ms"
+    why = spec["why"]["serve_mixed"]
+    assert f"rungs {rates} req/s" in why and limit in why, why
     for workload in workloads.WORKLOADS:
         for trace in ("0", "1"):
             code, result, _ = tiny_run(workload, trace)
@@ -86,6 +93,18 @@ def check_wrong_answers_fail() -> None:
         code, result, _ = tiny_run("serve_mixed", "0")
     assert code == 1 and not result["correct"], result
     print("ok   wrong expected service rows fail the run")
+
+    real_input = workloads.service_input
+
+    def no_known_defect(*args):
+        inp = real_input(*args)
+        inp.known_failures = {}
+        return inp
+
+    with mock.patch.object(workloads, "service_input", no_known_defect):
+        code, result, text = tiny_run("serve_mixed", "0")
+    assert code == 1 and not result["correct"] and "failed other than" in text, result
+    print("ok   a service failure other than the known defect fails the run")
 
 
 def check_refusals() -> None:

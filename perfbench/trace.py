@@ -232,7 +232,10 @@ class Tracer:
     def self_times(self, roots: list[Span]) -> tuple[dict, dict, dict]:
         """Self seconds per layer on the roots' threads, off-thread
         seconds per layer, and summed counts per layer, over every span
-        under ``roots``."""
+        under ``roots``.  ``lp.solve`` also counts its ``outermost``
+        calls (no ``lp.solve`` above them) and how many of those ran an
+        exact solve underneath (``with_exact``); the others were answered
+        from a memo."""
         children: dict[int, list[Span]] = {}
         for span in self.spans:
             if span.parent is not None:
@@ -240,22 +243,29 @@ class Tracer:
         on_thread: dict[str, float] = {}
         off_thread: dict[str, float] = {}
         counts: dict[str, dict] = {}
-        stack = [(root, True) for root in roots]
+        solves = counts.setdefault("lp.solve", {})
+        exact: set[int] = set()
+        # (span, on the root's thread, the outermost lp.solve above it)
+        stack = [(root, True, None) for root in roots]
         while stack:
-            span, on = stack.pop()
+            span, on, solve = stack.pop()
+            if span.name == "lp.solve" and solve is None:
+                solve = span
+                solves["outermost"] = solves.get("outermost", 0) + 1
+            elif span.name == "lp.exact" and solve is not None and id(solve) not in exact:
+                exact.add(id(solve))
+                solves["with_exact"] = solves.get("with_exact", 0) + 1
             kids = children.get(id(span), [])
             same = [(k.start, k.end) for k in kids if k.tid == span.tid]
             own = (span.end - span.start) - _covered(same)
             target = on_thread if on else off_thread
             target[span.name] = target.get(span.name, 0.0) + own
-            if span.counts:
-                bucket = counts.setdefault(span.name, {})
-                for key, value in span.counts.items():
-                    bucket[key] = bucket.get(key, 0) + value
             bucket = counts.setdefault(span.name, {})
+            for key, value in (span.counts or {}).items():
+                bucket[key] = bucket.get(key, 0) + value
             bucket["calls"] = bucket.get("calls", 0) + 1
             for kid in kids:
-                stack.append((kid, on and kid.tid == span.tid))
+                stack.append((kid, on and kid.tid == span.tid, solve))
         return on_thread, off_thread, counts
 
     def dump(self, path) -> None:

@@ -34,6 +34,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import repro
 from repro.core.csma import csma
 from repro.datagen import large
 from repro.engine.database import Database
@@ -46,6 +47,8 @@ from repro.lattice.builders import lattice_from_query
 from repro.lp.cllp import DegreeConstraint
 from repro.query.query import Atom, Query
 from repro.serve.admission import certified_bound
+
+from perfbench import oracle
 
 ONE_SHOT = ("fdchain", "lftj_triangle", "csma_degree")
 WORKLOADS = ONE_SHOT + ("serve_mixed",)
@@ -78,15 +81,6 @@ class LibraryInput:
     relations: list[tuple[str, tuple, list]]
     fds: FDSet | None
     degree_log2: float | None = None
-
-
-def result_digest(rows) -> str:
-    """Order-independent digest of a set of value rows (sum of per-row
-    sha1 prefixes modulo 2^128, as E17 computes it)."""
-    total = 0
-    for row in rows:
-        total += int.from_bytes(hashlib.sha1(repr(row).encode()).digest()[:16], "big")
-    return f"{total % (1 << 128):032x}"
 
 
 # ----------------------------------------------------------------------
@@ -164,23 +158,50 @@ def bound_log2(prep: Prepared, db: Database, algorithm_bound: float | None) -> f
     return bound
 
 
-def reference(name: str, n: int, seed: int) -> dict:
-    """The decoded-plane (``encode=False``) digest, output size and
-    ``tuples_touched`` of one instance, computed once and cached on disk
-    next to the benchmark."""
-    path = CACHE_DIR / f"{name}-n{n}-s{seed}.json"
+def source_fingerprint() -> str:
+    """A hash of the program's source files: a cached decoded-plane run
+    belongs to exactly one version of the program."""
+    src = Path(repro.__file__).resolve().parent
+    h = hashlib.sha1()
+    for path in sorted(src.rglob("*.py")):
+        h.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+def reference(inp: LibraryInput, n: int, seed: int) -> dict:
+    """The expected answer of one instance.
+
+    ``digest`` and ``rows`` come from the benchmark's own oracle
+    (:mod:`perfbench.oracle`), never from the program.  ``tuples_touched``
+    has no oracle: it is the program's own count on the decoded plane
+    (``encode=False``) of the same source, cached on disk under a hash of
+    that source, so a cache left by another version is never used.
+    ``decoded`` is that run's ``(digest, rows)``, which must match the
+    oracle too."""
+    schema, rows = oracle.ORACLES[inp.name](inp.relations)
+    rows = set(rows)
+    path = CACHE_DIR / f"{inp.name}-n{n}-s{seed}-{source_fingerprint()}.json"
     if path.exists():
-        return json.loads(path.read_text())
-    inp = library_input(name, n, seed)
-    prep = prepare(inp)
-    db = build_database(inp, encode=False)
-    out, touched, _ = run_query(prep, db)
-    ref = {"digest": result_digest(out.tuples), "rows": len(out), "touched": touched}
-    CACHE_DIR.mkdir(exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(ref))
-    tmp.replace(path)
-    return ref
+        decoded = json.loads(path.read_text())
+    else:
+        prep = prepare(inp)
+        db = build_database(inp, encode=False)
+        out, touched, _ = run_query(prep, db)
+        decoded = {
+            "digest": oracle.digest(out.schema, out.tuples),
+            "rows": len(out),
+            "touched": touched,
+        }
+        CACHE_DIR.mkdir(exist_ok=True)
+        tmp = path.with_suffix(".tmp")
+        tmp.write_text(json.dumps(decoded))
+        tmp.replace(path)
+    return {
+        "digest": oracle.digest(schema, rows),
+        "rows": len(rows),
+        "touched": decoded["touched"],
+        "decoded": (decoded["digest"], decoded["rows"]),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -200,9 +221,11 @@ class ServedDatabase:
 
 @dataclass(frozen=True)
 class RequestKind:
-    """One (database, query, engine) a client sends."""
+    """One (database, query, engine) a client sends; ``shape`` names
+    its oracle."""
 
     label: str
+    shape: str
     database: str
     query: Query
     engine: str
@@ -272,7 +295,7 @@ def service_input(seed: int, n_edges: int, graphs: int) -> ServiceInput:
     compilation and dictionary growth (and so compaction) but hits the
     LP memo."""
     kinds = [
-        RequestKind(f"{shape}/{engine}", database, query, engine)
+        RequestKind(f"{shape}/{engine}", shape, database, query, engine)
         for shape, database, query, engines in SERVICE_KINDS
         for engine in engines
     ]
