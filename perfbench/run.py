@@ -246,7 +246,9 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool, scale: dict
 
     # -- per-layer ------------------------------------------------------
     layers.update(rung_metrics)
-    layers["error_rate"] = (failed / attempted, "ratio")
+    # The result line's ``failed`` leaves out the known defect (its error
+    # is the expected outcome, checked by class); error_rate counts it.
+    layers["error_rate"] = ((failed + outcomes.known_failures) / attempted, "ratio")
     layers["serve.known_failures"] = (outcomes.known_failures, "count")
     layers.update(raw)
     if traced:

@@ -184,9 +184,11 @@ class Harness:
 class Outcomes:
     """Per-operation accounting shared by every phase.  ``known`` maps a
     request-kind label to the error class it is known to fail with; that
-    is the only failure allowed.  A request that fails any other way is
-    counted in ``unexpected`` and, like a wrong answer, fails the run, so
-    a service that breaks by failing fast cannot pass."""
+    is the only failure allowed, and it is the expected outcome of such a
+    request, so it counts in ``known_failures``, not in ``failed``.  A
+    request that fails any other way is counted in ``unexpected`` and
+    ``failed`` and, like a wrong answer, fails the run, so a service that
+    breaks by failing fast cannot pass."""
 
     known: dict
     attempted: int = 0
@@ -232,7 +234,6 @@ class Outcomes:
         with self.lock:
             self.attempted += 1
             self.queries += 1
-            self.failed += 1
             self.failure_classes[label] = self.failure_classes.get(label, 0) + 1
             if isinstance(err, EngineFault):
                 self.attempts.append(len(err.extra.get("absorbed", ())))
@@ -240,6 +241,7 @@ class Outcomes:
                 self.known_failures += 1
             else:
                 self.unexpected += 1
+                self.failed += 1
 
     def count_write(self) -> None:
         with self.lock:

@@ -65,7 +65,7 @@ def check_metrics() -> None:
             code, result, _ = tiny_run(workload, trace)
             assert code == 0 and result["correct"], (workload, trace, result)
             assert set(result) == {"correct", "attempted", "failed", "metrics"}
-            assert result["attempted"] >= 1
+            assert result["attempted"] >= 1 and result["failed"] == 0, result
             got = {k: v["unit"] for k, v in result["metrics"].items()}
             assert got == spec[trace], (workload, trace, set(got) ^ set(spec[trace]))
             print(f"ok   {workload} --trace {trace}: {len(got)} metrics")
